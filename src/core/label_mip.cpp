@@ -4,10 +4,16 @@
 #include "core/labelers.hpp"
 #include "milp/model.hpp"
 #include "util/error.hpp"
+#include "util/stopwatch.hpp"
 #include "util/trace.hpp"
 
 namespace compact::core {
 namespace {
+
+/// Branch-and-bound's least share of the request's time limit when the OCT
+/// warm start used it all: enough for the root LP on small graphs, so a
+/// warm start that is already optimal can still be proven so.
+constexpr double min_search_seconds = 0.05;
 
 /// Variable layout inside the MIP: for node i, x^H_i = 2i, x^V_i = 2i+1;
 /// edge selectors and D follow.
@@ -37,6 +43,7 @@ oct_label_result warm_oct_labeling(const bdd_graph& graph,
   cached_labeling entry;
   entry.l = result.l;
   entry.optimal = result.optimal;
+  entry.relative_gap = result.optimal ? 0.0 : 1.0;
   entry.oct_size = result.oct_size;
   entry.promoted = result.promoted;
   cache->store(key, std::move(entry));
@@ -48,6 +55,7 @@ oct_label_result warm_oct_labeling(const bdd_graph& graph,
 mip_label_result label_weighted(const bdd_graph& graph,
                                 const mip_label_options& options) {
   const trace_span span("label_mip", "label");
+  const stopwatch clock;
   check(options.gamma >= 0.0 && options.gamma <= 1.0,
         "label_weighted: gamma must lie in [0, 1]");
   const graph::undirected_graph& g = graph.g;
@@ -182,7 +190,6 @@ mip_label_result label_weighted(const bdd_graph& graph,
 
   // ---- Warm start from Method 1. -----------------------------------------
   milp::mip_options mip;
-  mip.time_limit_seconds = options.time_limit_seconds;
   mip.threads = options.threads;
   // The objective lives on the lattice {gamma*s + (1-gamma)*d : s, d in Z};
   // when gamma sits on the 1/20 grid the minimal positive lattice element
@@ -259,18 +266,25 @@ mip_label_result label_weighted(const bdd_graph& graph,
   // ---- Solve and decode. ---------------------------------------------------
   // Solver milestones arrive as events: each one lands in the returned
   // trace (Fig. 10) and, when a sink is attached, in telemetry.
+  // The events are points in time, not durations: `seconds` stays 0 so a
+  // per-stage sum of durations does not count them, and the solver's
+  // elapsed time travels as the `elapsed_seconds` metric.
   mip.on_trace = [&result, &options](const milp::mip_trace_entry& entry) {
     result.trace.push_back(entry);
     if (options.telemetry != nullptr) {
       telemetry_event event;
       event.stage = "mip_trace";
-      event.seconds = entry.seconds;
+      event.metric("elapsed_seconds", entry.seconds);
       event.metric("best_integer", entry.best_integer);
       event.metric("best_bound", entry.best_bound);
       event.metric("relative_gap", entry.relative_gap);
       options.telemetry->emit(event);
     }
   };
+  // The time limit bounds warm start and search together: branch-and-bound
+  // gets what the warm start left of it.
+  mip.time_limit_seconds = std::max(
+      min_search_seconds, options.time_limit_seconds - clock.seconds());
   const milp::mip_result solved = milp::solve_mip(m, mip);
   if (solved.status == milp::mip_status::infeasible)
     throw infeasible_error(

@@ -57,6 +57,9 @@ class oct_labeler final : public labeler {
     labeler_result result;
     result.l = std::move(r.l);
     result.optimal = r.optimal;
+    // No certified lower bound on the OCT size yet: an unproven labeling
+    // reports the "no bound" gap of 1 rather than claiming 0.
+    result.relative_gap = r.optimal ? 0.0 : 1.0;
     result.oct_size = r.oct_size;
     result.promoted = r.promoted;
     return result;

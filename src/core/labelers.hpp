@@ -59,10 +59,13 @@ struct oct_label_result {
 struct mip_label_options {
   double gamma = 0.5;
   bool alignment = true;
+  /// Bounds the OCT warm start and branch-and-bound together: the search
+  /// gets what the warm start left (at least 50 ms).
   double time_limit_seconds = 60.0;
   /// Warm start with Method 1's labeling (strongly recommended; guarantees
   /// an incumbent even when the solver times out at the root).
   bool warm_start_with_oct = true;
+  /// The warm start's own cap, within time_limit_seconds.
   double oct_time_limit_seconds = 30.0;
   /// Kernelize the OCT warm-start subproblem (core/oct_reduce). Part of the
   /// cache key (tie-breaking among equal-cost labelings can differ).

@@ -25,6 +25,11 @@ constexpr double int_tolerance = 1e-6;
 /// bit-identical-across-thread-counts guarantee breaks.
 constexpr std::size_t batch_size = 8;
 
+/// A dive may spend this many times its node LP's simplex pivots (a node LP
+/// solves from scratch, so roughly this many dive LPs). A work budget, not a
+/// wall-clock one: whether a dive finds a point depends on the model alone.
+constexpr long dive_pivot_factor = 64;
+
 struct bb_node {
   double lp_bound = -inf;  // parent LP objective (lower bound for subtree)
   std::uint64_t id = 0;    // creation order; the deterministic tie-break
@@ -75,21 +80,53 @@ std::optional<std::vector<double>> round_heuristic(const model& m,
   return std::nullopt;
 }
 
+/// Round a fractional LP bound up to the next point of the objective
+/// lattice `step` (mip_options::objective_lattice, the caller's promise).
+/// Every integer-feasible objective is a lattice multiple, so this stays a
+/// valid dual bound for the subtree while making near-incumbent subtrees
+/// prunable.
+double strengthen(double bound, double step) {
+  if (step <= 0.0 || !std::isfinite(bound)) return bound;
+  return std::ceil(bound / step - 1e-6) * step;
+}
+
+struct dive_outcome {
+  std::optional<std::vector<double>> x;  // integer-feasible point, if found
+  long iterations = 0;                   // simplex pivots spent
+  bool cut_off = false;  // abandoned: its LP bound reached the incumbent
+};
+
 /// Diving heuristic: starting from `working`'s current bounds, repeatedly
 /// fix the most fractional integer variable to its nearest value (flipping
 /// once on infeasibility) until the LP relaxation turns integral. Returns
-/// an integer-feasible point for the *original* model or nullopt. `working`
-/// is a per-item scratch copy, so its bounds need no restoring.
-std::optional<std::vector<double>> dive_heuristic(model& working,
-                                                  const model& original,
-                                                  const lp_options& lp_opts,
-                                                  std::vector<double> x,
-                                                  int max_depth,
-                                                  double time_budget_seconds) {
+/// an integer-feasible point for the *original* model, if one is found.
+/// `working` is a per-item scratch copy, so its bounds need no restoring.
+///
+/// Fixings only add constraints, so the dive's LP objective never falls:
+/// once it reaches `cutoff` (lattice-strengthened), no point at the end of
+/// the dive could beat the incumbent and the dive is abandoned. Its work is
+/// bounded by `pivot_budget` simplex pivots, so whether it finds a point
+/// depends on the model alone; `seconds_left` is the solve's own deadline.
+dive_outcome dive_heuristic(model& working, const model& original,
+                            lp_options lp_opts, std::vector<double> x,
+                            int max_depth, long pivot_budget, double cutoff,
+                            double lattice, double seconds_left) {
   stopwatch dive_clock;
+  dive_outcome out;
+  // Solves `working` within what is left of the pivot budget and the
+  // deadline; nullopt when either runs out (the dive then ends).
+  auto solve = [&]() -> std::optional<lp_result> {
+    lp_opts.max_iterations = pivot_budget - out.iterations;
+    lp_opts.time_limit_seconds = seconds_left - dive_clock.seconds();
+    if (lp_opts.max_iterations <= 0 || lp_opts.time_limit_seconds <= 0.0)
+      return std::nullopt;
+    lp_result lp = solve_lp(working, lp_opts);
+    out.iterations += lp.iterations;
+    if (lp.status == lp_status::iteration_limit) return std::nullopt;
+    return lp;
+  };
   std::vector<bool> skipped(working.variable_count(), false);
   for (int depth = 0; depth < max_depth; ++depth) {
-    if (dive_clock.seconds() > time_budget_seconds) return std::nullopt;
     // Most fractional non-skipped integer variable (priority-aware).
     int var = -1;
     int best_priority = 0;
@@ -112,31 +149,37 @@ std::optional<std::vector<double>> dive_heuristic(model& working,
       for (std::size_t j = 0; j < working.variable_count(); ++j)
         if (working.var(static_cast<int>(j)).is_integer)
           x[j] = std::round(x[j]);
-      if (original.is_feasible(x)) return x;
-      return std::nullopt;
+      if (original.is_feasible(x)) out.x = std::move(x);
+      return out;
     }
     const double saved_lower = working.var(var).lower;
     const double saved_upper = working.var(var).upper;
     const double rounded = std::round(x[static_cast<std::size_t>(var)]);
     working.set_bounds(var, rounded, rounded);
-    lp_result lp = solve_lp(working, lp_opts);
-    if (lp.status != lp_status::optimal) {
+    std::optional<lp_result> lp = solve();
+    if (!lp) return out;
+    if (lp->status != lp_status::optimal) {
       // Flip once; if that also fails, leave the variable free for later
       // instead of abandoning the dive.
       const double flipped = rounded > saved_lower ? saved_lower : saved_upper;
       if (std::isfinite(flipped)) {
         working.set_bounds(var, flipped, flipped);
-        lp = solve_lp(working, lp_opts);
+        lp = solve();
+        if (!lp) return out;
       }
-      if (lp.status != lp_status::optimal) {
+      if (lp->status != lp_status::optimal) {
         working.set_bounds(var, saved_lower, saved_upper);
         skipped[static_cast<std::size_t>(var)] = true;
         continue;
       }
     }
-    x = lp.x;
+    if (strengthen(lp->objective, lattice) >= cutoff - 1e-9) {
+      out.cut_off = true;
+      return out;
+    }
+    x = std::move(lp->x);
   }
-  return std::nullopt;
+  return out;
 }
 
 double relative_gap(double incumbent, double bound) {
@@ -163,41 +206,50 @@ struct item_outcome {
   std::optional<std::vector<double>> integral;  // snapped integer point
   std::optional<std::vector<double>> rounded;   // rounding heuristic point
   bool dive_attempted = false;
-  std::optional<std::vector<double>> dived;     // diving heuristic point
+  dive_outcome dive;
   int thread_slot = 0;
   std::uint64_t busy_us = 0;
 };
 
-}  // namespace
+/// One solve's work totals, published as the "milp.bnb.*" counters.
+struct bnb_counters {
+  std::uint64_t lp_iterations = 0;  // node LPs and strong-branching probes
+  std::uint64_t incumbents = 0;     // accepted incumbent improvements
+  std::uint64_t rounds = 0;         // synchronous search rounds
+  std::uint64_t dives = 0;          // diving heuristic runs
+  std::uint64_t dive_lp_iterations = 0;
+  std::uint64_t dive_cutoffs = 0;   // dives abandoned at the incumbent
+};
 
 // Adds the solve's totals to the "milp.bnb.*" counters on every exit path
 // of solve_mip (several early returns). No-op when metrics are disabled.
 struct solve_metrics_guard {
   const mip_result& result;
-  const std::uint64_t& lp_iterations;
-  const std::uint64_t& incumbents;
-  const std::uint64_t& rounds;
+  const bnb_counters& counts;
   ~solve_metrics_guard() {
     if (!metrics_enabled()) return;
     metrics_registry& registry = global_metrics();
     registry.counter("milp.bnb.nodes_explored")
         .add(static_cast<std::uint64_t>(result.nodes_explored));
-    registry.counter("milp.bnb.lp_iterations").add(lp_iterations);
-    registry.counter("milp.bnb.incumbents").add(incumbents);
-    registry.counter("milp.bnb.rounds").add(rounds);
+    registry.counter("milp.bnb.lp_iterations").add(counts.lp_iterations);
+    registry.counter("milp.bnb.incumbents").add(counts.incumbents);
+    registry.counter("milp.bnb.rounds").add(counts.rounds);
+    registry.counter("milp.bnb.dives").add(counts.dives);
+    registry.counter("milp.bnb.dive_lp_iterations")
+        .add(counts.dive_lp_iterations);
+    registry.counter("milp.bnb.dive_cutoffs").add(counts.dive_cutoffs);
     registry.counter("milp.bnb.solves").increment();
   }
 };
+
+}  // namespace
 
 mip_result solve_mip(const model& original, const mip_options& options) {
   const trace_span span("solve_mip", "milp");
   stopwatch clock;
   mip_result result;
-  std::uint64_t lp_iterations = 0;  // node-LP simplex iterations
-  std::uint64_t incumbents = 0;     // accepted incumbent improvements
-  std::uint64_t rounds = 0;         // synchronous search rounds
-  const solve_metrics_guard metrics_guard{result, lp_iterations, incumbents,
-                                          rounds};
+  bnb_counters counts;
+  const solve_metrics_guard metrics_guard{result, counts};
 
   for (std::size_t j = 0; j < original.variable_count(); ++j) {
     const variable& v = original.var(static_cast<int>(j));
@@ -255,7 +307,7 @@ mip_result solve_mip(const model& original, const mip_options& options) {
     ++recorded;
     if (incumbent_obj < last_metric_incumbent - 1e-12) {
       last_metric_incumbent = incumbent_obj;
-      ++incumbents;
+      ++counts.incumbents;
     }
     if (metrics_enabled()) {
       metrics_registry& registry = global_metrics();
@@ -297,26 +349,28 @@ mip_result solve_mip(const model& original, const mip_options& options) {
     return incumbent_obj - bound <= options.absolute_gap_tolerance;
   };
 
-  // Round a fractional LP bound up to the next objective-lattice point
-  // (options.objective_lattice, caller's promise). Every integer-feasible
-  // objective is a lattice multiple, so this stays a valid dual bound for
-  // the subtree while making near-incumbent subtrees prunable.
-  auto strengthen = [&](double bound) {
-    const double step = options.objective_lattice;
-    if (step <= 0.0 || !std::isfinite(bound)) return bound;
-    return std::ceil(bound / step - 1e-6) * step;
+  const double lattice = options.objective_lattice;
+  auto seconds_left = [&] {
+    return options.time_limit_seconds - clock.seconds();
   };
 
   /// Solve one node on (a copy of) the reduced model. Pure function of the
   /// node, the round-start incumbent and the LP options — never of thread
-  /// scheduling — so the merge below is deterministic.
+  /// scheduling, and of time only once the solve's deadline has passed —
+  /// so the merge below is deterministic. A node whose
+  /// lattice-strengthened bound meets the incumbent is concluded at once,
+  /// the root included: with a warm start as good as the root bound, the
+  /// proof is complete after one LP.
   auto process_item = [&](const bb_node& node, double round_incumbent,
-                          bool root_known, bool dive_scheduled,
-                          lp_options node_lp,
-                          double remaining) -> item_outcome {
+                          bool dive_scheduled) -> item_outcome {
     stopwatch busy;
     item_outcome out;
     out.thread_slot = current_thread_slot();
+    // The solve's deadline is read live: items of one round may run one
+    // after another, and each may only use what is left of it.
+    lp_options node_lp = options.lp;
+    node_lp.time_limit_seconds =
+        std::min(node_lp.time_limit_seconds, std::max(0.01, seconds_left()));
     model working = searched;
     for (const auto& [var, lo, hi] : node.fixings)
       working.set_bounds(var, lo, hi);
@@ -327,8 +381,8 @@ mip_result solve_mip(const model& original, const mip_options& options) {
       out.busy_us = static_cast<std::uint64_t>(busy.seconds() * 1e6);
       return out;
     }
-    out.objective = strengthen(lp.objective);
-    if (root_known && out.objective >= round_incumbent - 1e-9) {
+    out.objective = strengthen(lp.objective, lattice);
+    if (out.objective >= round_incumbent - 1e-9) {
       out.pruned = true;
       out.busy_us = static_cast<std::uint64_t>(busy.seconds() * 1e6);
       return out;
@@ -384,6 +438,10 @@ mip_result solve_mip(const model& original, const mip_options& options) {
       probe_lp.max_iterations = options.strong_branching_iterations;
       double best_score = -inf;
       for (const sb_candidate& c : candidates) {
+        // Probing is optional work: the solve's deadline ends it.
+        if (seconds_left() <= 0.0) break;
+        probe_lp.time_limit_seconds =
+            std::min(node_lp.time_limit_seconds, seconds_left());
         const double value = lp.x[static_cast<std::size_t>(c.var)];
         const double lo = working.var(c.var).lower;
         const double hi = working.var(c.var).upper;
@@ -397,8 +455,9 @@ mip_result solve_mip(const model& original, const mip_options& options) {
           if (probe.status == lp_status::infeasible) {
             dead[side] = true;
           } else if (probe.status == lp_status::optimal) {
-            bound[side] = std::max(out.objective, strengthen(probe.objective));
-            if (root_known && bound[side] >= round_incumbent - 1e-9)
+            bound[side] = std::max(out.objective,
+                                   strengthen(probe.objective, lattice));
+            if (bound[side] >= round_incumbent - 1e-9)
               dead[side] = true;
           }
           // Inconclusive probes (iteration cap) keep the parent bound.
@@ -437,13 +496,11 @@ mip_result solve_mip(const model& original, const mip_options& options) {
     // coordinator (deterministically, by node ordinal).
     if (dive_scheduled) {
       out.dive_attempted = true;
-      lp_options dive_lp = node_lp;
-      dive_lp.time_limit_seconds = std::min(dive_lp.time_limit_seconds,
-                                            std::max(0.01, remaining / 20.0));
-      out.dived = dive_heuristic(
-          working, original, dive_lp, lp.x,
+      out.dive = dive_heuristic(
+          working, original, node_lp, lp.x,
           std::min<int>(static_cast<int>(working.variable_count()), 160),
-          /*time_budget_seconds=*/remaining * 0.5);
+          dive_pivot_factor * std::max<long>(lp.iterations, 1),
+          round_incumbent, lattice, seconds_left());
     }
     out.busy_us = static_cast<std::uint64_t>(busy.seconds() * 1e6);
     return out;
@@ -458,7 +515,7 @@ mip_result solve_mip(const model& original, const mip_options& options) {
       limits_hit = true;
       break;
     }
-    ++rounds;
+    ++counts.rounds;
     // Round boundary: sample the ambient resource watchdog (a memory or
     // deadline trip aborts the whole solve with resource_limit_error) and
     // re-account the open-node queue. The byte figure counts node headers;
@@ -499,19 +556,13 @@ mip_result solve_mip(const model& original, const mip_options& options) {
 
     // Round-start snapshot everything the items depend on.
     const double round_incumbent = incumbent_obj;
-    const bool root_known = root_done;
-    const double remaining =
-        options.time_limit_seconds - clock.seconds();
-    lp_options node_lp = options.lp;
-    node_lp.time_limit_seconds =
-        std::min(node_lp.time_limit_seconds, std::max(0.01, remaining));
     const long dive_period = std::isfinite(round_incumbent)
                                  ? 128
                                  : (dive_failures < 5 ? 4 : 64);
     dive_flags.assign(batch.size(), false);
     for (std::size_t i = 0; i < batch.size(); ++i) {
       const long ordinal = result.nodes_explored + static_cast<long>(i) + 1;
-      dive_flags[i] = ordinal % dive_period == 1 && remaining > 0.5;
+      dive_flags[i] = ordinal % dive_period == 1;
     }
 
     std::vector<item_outcome> outcomes;
@@ -521,16 +572,15 @@ mip_result solve_mip(const model& original, const mip_options& options) {
       futures.reserve(batch.size());
       for (std::size_t i = 0; i < batch.size(); ++i) {
         futures.push_back(pool->submit([&, i] {
-          return process_item(batch[i], round_incumbent, root_known,
-                              dive_flags[i], node_lp, remaining);
+          return process_item(batch[i], round_incumbent, dive_flags[i]);
         }));
       }
       for (auto& f : futures) f.wait();  // never unwind past running tasks
       for (auto& f : futures) outcomes.push_back(f.get());
     } else {
       for (std::size_t i = 0; i < batch.size(); ++i)
-        outcomes.push_back(process_item(batch[i], round_incumbent, root_known,
-                                        dive_flags[i], node_lp, remaining));
+        outcomes.push_back(
+            process_item(batch[i], round_incumbent, dive_flags[i]));
     }
 
     // Merge in item order: this loop is the only place the incumbent, the
@@ -541,7 +591,13 @@ mip_result solve_mip(const model& original, const mip_options& options) {
       const bb_node& node = batch[i];
       item_outcome& r = outcomes[i];
       ++result.nodes_explored;
-      lp_iterations += static_cast<std::uint64_t>(r.iterations);
+      counts.lp_iterations += static_cast<std::uint64_t>(r.iterations);
+      if (r.dive_attempted) {
+        ++counts.dives;
+        counts.dive_lp_iterations +=
+            static_cast<std::uint64_t>(r.dive.iterations);
+        if (r.dive.cut_off) ++counts.dive_cutoffs;
+      }
       round_busy_us += r.busy_us;
       if (metrics_enabled())
         global_metrics()
@@ -609,8 +665,8 @@ mip_result solve_mip(const model& original, const mip_options& options) {
       if (!r.up_dead) open.push(std::move(up));
 
       if (r.dive_attempted) {
-        if (r.dived) {
-          if (accept(std::move(*r.dived))) dive_failures = 0;
+        if (r.dive.x) {
+          if (accept(std::move(*r.dive.x))) dive_failures = 0;
         } else {
           ++dive_failures;
         }

@@ -3,7 +3,11 @@
 // (the situation the VH-labeling MIP is always in).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <optional>
+
 #include "milp/branch_and_bound.hpp"
+#include "util/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace compact::milp {
@@ -34,6 +38,60 @@ TEST(DivingTest, FindsOptimaWithoutWarmStart) {
     ASSERT_EQ(r.status, mip_status::optimal) << "n=" << n;
     EXPECT_NEAR(r.objective, (n + 1) / 2, 1e-6);
   }
+}
+
+std::uint64_t counter_value(const char* name) {
+  return global_metrics().counter(name).value();
+}
+
+TEST(DivingTest, DiveReachingTheIncumbentIsAbandonedDeterministically) {
+  // Nine disjoint 5-cycles, no warm start: the root dive finds the optimum
+  // (27) and the proof then enumerates 2^9 - 1 nodes, since every subtree
+  // keeps an LP bound below 27. The one later dive starts under the
+  // incumbent and is abandoned once its LP bound reaches it. Dives are
+  // bounded by simplex pivots, not wall-clock time, so the whole search is
+  // the same for any thread count and any time limit it completes within.
+  model m;
+  const int cycles = 9;
+  const int length = 5;
+  for (int i = 0; i < cycles * length; ++i) m.add_binary(1.0, "");
+  for (int c = 0; c < cycles; ++c)
+    for (int i = 0; i < length; ++i)
+      m.add_constraint({{c * length + i, 1.0},
+                        {c * length + (i + 1) % length, 1.0}},
+                       relation::greater_equal, 1.0);
+
+  set_metrics_enabled(true);
+  std::optional<mip_result> reference;
+  std::uint64_t reference_dive_iterations = 0;
+  for (const int threads : {1, 2, 8}) {
+    for (const double limit : {5.0, 50.0}) {
+      mip_options options;
+      options.threads = threads;
+      options.time_limit_seconds = limit;
+      const std::uint64_t dives0 = counter_value("milp.bnb.dives");
+      const std::uint64_t cutoffs0 = counter_value("milp.bnb.dive_cutoffs");
+      const std::uint64_t dive_iterations0 =
+          counter_value("milp.bnb.dive_lp_iterations");
+      const mip_result r = solve_mip(m, options);
+      const std::uint64_t dive_iterations =
+          counter_value("milp.bnb.dive_lp_iterations") - dive_iterations0;
+      ASSERT_EQ(r.status, mip_status::optimal);
+      EXPECT_EQ(r.objective, 27.0);
+      EXPECT_EQ(counter_value("milp.bnb.dives") - dives0, 2u);
+      EXPECT_EQ(counter_value("milp.bnb.dive_cutoffs") - cutoffs0, 1u);
+      if (!reference) {
+        reference = r;
+        reference_dive_iterations = dive_iterations;
+        continue;
+      }
+      EXPECT_EQ(r.x, reference->x) << threads << " threads, " << limit;
+      EXPECT_EQ(r.objective, reference->objective);
+      EXPECT_EQ(r.nodes_explored, reference->nodes_explored);
+      EXPECT_EQ(dive_iterations, reference_dive_iterations);
+    }
+  }
+  set_metrics_enabled(false);
 }
 
 TEST(DivingTest, LargeCoveringInstanceGetsAnIncumbent) {

@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <optional>
+
 #include "core/labelers.hpp"
 #include "frontend/benchgen.hpp"
 #include "frontend/to_bdd.hpp"
+#include "util/metrics.hpp"
+#include "util/stopwatch.hpp"
 
 namespace compact::core {
 namespace {
@@ -79,6 +84,55 @@ TEST(LabelMipTest, TimeLimitStillYieldsValidLabeling) {
   EXPECT_TRUE(is_feasible(g.g, r.l));
   EXPECT_TRUE(satisfies_alignment(g, r.l));
   EXPECT_GE(r.relative_gap, 0.0);
+}
+
+TEST(LabelMipTest, TimeLimitBoundsWarmStartAndSearchTogether) {
+  // Neither the OCT warm start nor the MIP proves add12 in 2 s. The warm
+  // start may use the whole limit; branch-and-bound then gets only what is
+  // left of it (a small floor), not the full limit again.
+  const frontend::network net = frontend::make_ripple_adder(12);
+  bdd::manager m(net.input_count());
+  const bdd_graph g = graph_of(net, m);
+  mip_label_options options;
+  options.time_limit_seconds = 2.0;
+  const stopwatch clock;
+  const mip_label_result r = label_weighted(g, options);
+  const double seconds = clock.seconds();
+  EXPECT_FALSE(r.optimal);
+  EXPECT_TRUE(is_feasible(g.g, r.l));
+  // Tolerance: 10 % of the limit plus 0.5 s for the last LP's pivots and
+  // tableau set-up after the deadline.
+  EXPECT_LE(seconds, options.time_limit_seconds * 1.1 + 0.5);
+}
+
+TEST(LabelMipTest, ProvenAtTheRootWhateverTheTimeLimit) {
+  // The OCT warm start of priority24 at gamma 0.5 meets the root LP bound
+  // rounded up to the objective lattice, so one node proves it. The design
+  // and the proof must not depend on the time limit; no dive runs.
+  const frontend::network net = frontend::make_priority_encoder(24);
+  bdd::manager m(net.input_count());
+  const bdd_graph g = graph_of(net, m);
+  metric_counter& dives = global_metrics().counter("milp.bnb.dives");
+  set_metrics_enabled(true);
+  std::optional<mip_label_result> reference;
+  for (const double limit : {4.0, 40.0}) {
+    mip_label_options options;
+    options.gamma = 0.5;
+    options.time_limit_seconds = limit;
+    const std::uint64_t dives0 = dives.value();
+    const mip_label_result r = label_weighted(g, options);
+    EXPECT_TRUE(r.optimal) << limit;
+    EXPECT_EQ(r.relative_gap, 0.0) << limit;
+    EXPECT_EQ(r.nodes_explored, 1) << limit;
+    EXPECT_EQ(dives.value(), dives0) << limit;
+    if (!reference) {
+      reference = r;
+      continue;
+    }
+    EXPECT_EQ(r.l.label_of, reference->l.label_of);
+    EXPECT_EQ(r.objective, reference->objective);
+  }
+  set_metrics_enabled(false);
 }
 
 TEST(LabelMipTest, TraceRecordsConvergence) {

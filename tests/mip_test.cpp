@@ -1,13 +1,20 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "milp/branch_and_bound.hpp"
+#include "milp/presolve.hpp"
 #include "util/error.hpp"
+#include "util/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace compact::milp {
 namespace {
+
+std::uint64_t counter_value(const char* name) {
+  return global_metrics().counter(name).value();
+}
 
 TEST(MipTest, PureLpPassesThrough) {
   model m;
@@ -190,6 +197,47 @@ TEST(MipTest, TimeLimitReturnsFeasibleWithGap) {
   EXPECT_GE(r.relative_gap, 0.0);
   EXPECT_LE(r.relative_gap, 1.0);
   EXPECT_TRUE(m.is_feasible(r.x));
+}
+
+TEST(MipTest, WarmStartMeetingTheRootBoundIsProvenAtTheRoot) {
+  // Vertex cover of a 21-cycle: the root LP is all-half at 10.5, which the
+  // unit lattice rounds up to 11, the size of the alternating cover given
+  // as warm start. The root LP alone proves it: no strong branching, no
+  // dive, and nothing that depends on the time limit.
+  const int n = 21;
+  model m;
+  for (int i = 0; i < n; ++i) m.add_binary(1.0, "");
+  for (int i = 0; i < n; ++i)
+    m.add_constraint({{i, 1.0}, {(i + 1) % n, 1.0}}, relation::greater_equal,
+                     1.0);
+  std::vector<double> warm(static_cast<std::size_t>(n), 0.0);
+  for (int i = 0; i < n; i += 2) warm[static_cast<std::size_t>(i)] = 1.0;
+  const long root_iterations = solve_lp(presolve_model(m).reduced).iterations;
+
+  set_metrics_enabled(true);
+  for (const double limit : {1.0, 100.0}) {
+    mip_options options;
+    options.time_limit_seconds = limit;
+    options.objective_lattice = 1.0;
+    options.warm_start = warm;
+    const std::uint64_t iterations0 = counter_value("milp.bnb.lp_iterations");
+    const std::uint64_t dives0 = counter_value("milp.bnb.dives");
+    const std::uint64_t dive_iterations0 =
+        counter_value("milp.bnb.dive_lp_iterations");
+    const mip_result r = solve_mip(m, options);
+    EXPECT_EQ(r.status, mip_status::optimal) << limit;
+    EXPECT_EQ(r.nodes_explored, 1) << limit;
+    EXPECT_EQ(r.x, warm) << limit;
+    EXPECT_EQ(r.objective, 11.0) << limit;
+    EXPECT_EQ(r.best_bound, 11.0) << limit;
+    EXPECT_EQ(counter_value("milp.bnb.lp_iterations") - iterations0,
+              static_cast<std::uint64_t>(root_iterations))
+        << limit;
+    EXPECT_EQ(counter_value("milp.bnb.dives"), dives0) << limit;
+    EXPECT_EQ(counter_value("milp.bnb.dive_lp_iterations"), dive_iterations0)
+        << limit;
+  }
+  set_metrics_enabled(false);
 }
 
 TEST(MipTest, GapToleranceStopsEarly) {

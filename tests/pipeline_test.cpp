@@ -235,6 +235,35 @@ TEST(LabelCacheTest, MipSynthesisBitIdenticalCacheOnVsOff) {
   EXPECT_EQ(serialized(cached.design), serialized(uncached.design));
 }
 
+TEST(PipelineTest, OctLabelingThatHitsItsBudgetReportsNoCertifiedBound) {
+  // OCT cannot prove add12 within 0.2 s, and Method 1 has no lower bound
+  // to report yet: the gap says "no bound" (1), never 0, including when the
+  // labeling comes back from the cache.
+  const frontend::network net = frontend::make_ripple_adder(12);
+  bdd::manager m(net.input_count());
+  const frontend::sbdd built = frontend::build_sbdd(net, m);
+  labeling_cache cache;
+  synthesis_options options = oct_method();
+  options.time_limit_seconds = 0.2;
+  options.cache = &cache;
+  for (int request = 0; request < 2; ++request) {
+    const synthesis_result r =
+        synthesize(m, built.roots, built.names, options);
+    EXPECT_FALSE(r.stats.optimal) << request;
+    EXPECT_EQ(r.stats.relative_gap, 1.0) << request;
+  }
+  EXPECT_EQ(cache.stats().hits, 1u);
+
+  // A proven labeling keeps gap 0.
+  bdd::manager small(6);
+  const frontend::network cmp = frontend::make_comparator(3);
+  const frontend::sbdd cmp_built = frontend::build_sbdd(cmp, small);
+  const synthesis_result proven =
+      synthesize(small, cmp_built.roots, cmp_built.names, oct_method());
+  EXPECT_TRUE(proven.stats.optimal);
+  EXPECT_EQ(proven.stats.relative_gap, 0.0);
+}
+
 // --------------------------------------------------------------------------
 // Telemetry.
 
@@ -283,6 +312,17 @@ TEST(PipelineTelemetryTest, MipTraceArrivesAsEvents) {
   // Every recorded convergence milestone is mirrored as a "mip_trace" event.
   EXPECT_FALSE(r.stats.trace.empty());
   EXPECT_EQ(sink.count("mip_trace"), r.stats.trace.size());
+  // They are point events: the duration field stays 0 and the solver's
+  // elapsed time travels as a metric, in trace order.
+  std::size_t i = 0;
+  for (const telemetry_event& event : sink.events()) {
+    if (event.stage != "mip_trace") continue;
+    ASSERT_LT(i, r.stats.trace.size());
+    EXPECT_EQ(event.seconds, 0.0);
+    EXPECT_EQ(event.metric_or("elapsed_seconds", -1.0),
+              r.stats.trace[i].seconds);
+    ++i;
+  }
 }
 
 TEST(PipelineTelemetryTest, SeparateRobddsReportsCacheHitsInCompose) {
